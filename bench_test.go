@@ -14,6 +14,7 @@
 package risa
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -112,6 +113,78 @@ func BenchmarkScheduleOneAllocs(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				round()
+			}
+		})
+	}
+}
+
+// BenchmarkScheduleOneDrop pins the zero-allocation contract of the drop
+// path, which dominates overloaded clusters (31–66 % of all decisions on
+// the repo benchmark's churn-gated cell, depending on the scheduler). Each sub-benchmark fills
+// a cluster until the probe VM is rejected, then re-submits that VM: every
+// iteration is a drop that walks the scheduler's whole rejection path and
+// leaves the state as it found it. Two shapes:
+//
+//   - compute: the default cluster filled with CPU-heavy VMs until no CPU
+//     box can hold another. RISA finds the INTRA_RACK_POOL and then the
+//     SUPER_RACK empty; NULB/NALB find no box for the scarce resource.
+//   - network: a one-uplink-per-box cluster filled until every placement
+//     the schedulers choose fails its flow reservation — the speculative
+//     allocate/rollback path, through RISA's whole pool walk.
+//
+// Like BenchmarkScheduleOneAllocs it FAILS on any steady-state
+// allocation, and scripts/ci/allocguard.sh pins it at 0 allocs/op.
+func BenchmarkScheduleOneDrop(b *testing.B) {
+	shapes := []struct {
+		name    string
+		uplinks int
+		req     units.Vector
+		network bool // the drop must be a network sentinel, not a DropReason
+	}{
+		{"compute", 16, units.Vec(64, 4, 64), false},
+		{"network", 1, units.Vec(8, 16, 128), true},
+	}
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			for _, alg := range experiments.Algorithms {
+				b.Run(alg, func(b *testing.B) {
+					setup := experiments.DefaultSetup()
+					setup.Network.BoxUplinks = shape.uplinks
+					st, err := setup.NewState()
+					if err != nil {
+						b.Fatal(err)
+					}
+					sch, err := experiments.NewScheduler(alg, st)
+					if err != nil {
+						b.Fatal(err)
+					}
+					vm := workload.VM{Lifetime: 1, Req: shape.req}
+					for ; ; vm.ID++ {
+						if _, err = sch.Schedule(vm); err != nil {
+							break
+						}
+					}
+					var reason *sched.DropReason
+					if errors.As(err, &reason) == shape.network {
+						b.Fatalf("%s: fill ended with %v, want a %s drop", alg, err, shape.name)
+					}
+					drop := func() {
+						if a, err := sch.Schedule(vm); err == nil {
+							b.Fatalf("%s: probe VM placed on %v, want a drop", alg, a)
+						}
+					}
+					for i := 0; i < 64; i++ {
+						drop()
+					}
+					if avg := testing.AllocsPerRun(200, drop); avg != 0 {
+						b.Fatalf("%s: %.2f allocs/op on the %s drop path, want 0", alg, avg, shape.name)
+					}
+					b.ResetTimer()
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						drop()
+					}
+				})
 			}
 		})
 	}

@@ -15,8 +15,6 @@
 package baseline
 
 import (
-	"fmt"
-
 	"risa/internal/network"
 	"risa/internal/sched"
 	"risa/internal/topology"
@@ -96,15 +94,14 @@ func (z *zervas) ChooseMasked(vm workload.VM, masks Masks) (sched.BoxTriple, net
 	cl := z.st.Cluster
 	resMax, ok := sched.ScarcestResource(cl, vm.Req)
 	if !ok {
-		return boxes, policy, fmt.Errorf("baseline: VM %d requests nothing", vm.ID)
+		return boxes, policy, sched.ErrNothingRequested
 	}
 
 	// Phase 1a: the first box anywhere that can hold the scarcest
 	// resource (global rack-major, box-index order).
 	first := z.firstBox(resMax, vm.Req[resMax], masks[resMax])
 	if first == nil {
-		return boxes, policy, fmt.Errorf("baseline: VM %d: no box with %d %s free",
-			vm.ID, vm.Req[resMax], resMax.Native())
+		return boxes, policy, sched.ErrNoBox[resMax]
 	}
 
 	// Phase 1b: BFS outwards from the scarce box for the other resources.
@@ -115,8 +112,7 @@ func (z *zervas) ChooseMasked(vm workload.VM, masks Masks) (sched.BoxTriple, net
 		}
 		b := z.bfsFind(first.Rack(), r, vm.Req[r], masks[r])
 		if b == nil {
-			return boxes, policy, fmt.Errorf("baseline: VM %d: no box with %d %s free reachable from rack %d",
-				vm.ID, vm.Req[r], r.Native(), first.Rack())
+			return boxes, policy, sched.ErrNoBoxReachable[r]
 		}
 		boxes[r] = b
 	}

@@ -5,8 +5,6 @@
 package core
 
 import (
-	"errors"
-
 	"risa/internal/baseline"
 	"risa/internal/network"
 	"risa/internal/sched"
@@ -181,11 +179,6 @@ func (r *RISA) proposeSuperRack(vm workload.VM) (sched.Proposal, bool) {
 	return p, true
 }
 
-// errConclusiveDrop is the shared drop error for conclusively
-// unplaceable VMs — a sentinel, so the agent loop's drop path allocates
-// nothing per VM.
-var errConclusiveDrop = errors.New("core: no placement: intra-rack and SUPER_RACK tiers exhausted at propose time")
-
 // DropConclusive implements sched.ConclusiveProposer: bookkeeping for a
 // VM whose cluster-wide, both-tier Propose failure proved it
 // unplaceable this round. Counted in Stats.ConclusiveDrops (not
@@ -194,5 +187,5 @@ var errConclusiveDrop = errors.New("core: no placement: intra-rack and SUPER_RAC
 func (r *RISA) DropConclusive(vm workload.VM) error {
 	r.stats.ConclusiveDrops++
 	r.stats.Dropped++
-	return errConclusiveDrop
+	return sched.ErrConclusiveDrop
 }

@@ -22,8 +22,6 @@
 package core
 
 import (
-	"fmt"
-
 	"risa/internal/baseline"
 	"risa/internal/network"
 	"risa/internal/sched"
@@ -91,7 +89,7 @@ func (r *RISA) Release(a *sched.Assignment) { r.st.ReleaseVM(a) }
 // VM.
 func (r *RISA) Schedule(vm workload.VM) (*sched.Assignment, error) {
 	if !vm.Req.NonNegative() || vm.Req.IsZero() {
-		return nil, fmt.Errorf("core: VM %d has unusable request %v", vm.ID, vm.Req)
+		return nil, sched.ErrUnusable
 	}
 	a, poolSeen := r.scheduleIntra(vm)
 	if a != nil {
@@ -251,8 +249,8 @@ func (r *RISA) chooseBoxes(rack *topology.Rack, req units.Vector) (sched.BoxTrip
 // explicit masks the pre-SoA code built (O(racks) tree queries plus an
 // O(racks) mask clear per fallback decision) were bit-for-bit redundant.
 // The one observable the masks still carried is the per-resource
-// emptiness error, reproduced here by one O(log racks) candidate probe
-// per resource.
+// emptiness reason (sched.ErrSuperRackEmpty), reproduced here by one
+// O(log racks) candidate probe per resource.
 func (r *RISA) scheduleSuperRack(vm workload.VM) (*sched.Assignment, error) {
 	cl := r.st.Cluster
 	for _, res := range units.Resources() {
@@ -260,8 +258,7 @@ func (r *RISA) scheduleSuperRack(vm workload.VM) (*sched.Assignment, error) {
 			continue
 		}
 		if cl.NextRackWith(res, vm.Req[res], 0) < 0 {
-			return nil, fmt.Errorf("core: VM %d: SUPER_RACK empty for %v (need %d %s)",
-				vm.ID, res, vm.Req[res], res.Native())
+			return nil, sched.ErrSuperRackEmpty[res]
 		}
 	}
 	return r.fallback.ScheduleMasked(vm, baseline.Masks{})

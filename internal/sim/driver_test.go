@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -191,5 +192,34 @@ func TestDriverApplyScope(t *testing.T) {
 	}
 	if _, _, err := d.Place(workload.VM{ID: 2, Lifetime: 10, Req: units.Vec(1, 1, 0)}); err != nil {
 		t.Fatalf("placement after heal: %v", err)
+	}
+}
+
+// TestPlaceBatchKeepsEachDropReason pins that a batch's per-VM errors are
+// independent values: two consecutive drops for different reasons, with a
+// placement and a third drop after them, each keep their own typed
+// reason. A scheduler-owned reusable error would show the last reason in
+// every slot.
+func TestPlaceBatchKeepsEachDropReason(t *testing.T) {
+	huge := units.Amount(1 << 20) // more than any box holds
+	vms := []workload.VM{
+		{ID: 1, Lifetime: 10, Req: units.Vec(huge, 4, 64)},
+		{ID: 2, Lifetime: 10, Req: units.Vec(4, huge, 64)},
+		{ID: 3, Lifetime: 10, Req: units.Vec(8, 16, 128)},
+		{ID: 4, Lifetime: 10, Req: units.Vec(4, 4, huge)},
+	}
+	for algo, want := range map[string][]error{
+		"RISA": {sched.ErrSuperRackEmpty[units.CPU], sched.ErrSuperRackEmpty[units.RAM], nil, sched.ErrSuperRackEmpty[units.Storage]},
+		"NULB": {sched.ErrNoBox[units.CPU], sched.ErrNoBox[units.RAM], nil, sched.ErrNoBox[units.Storage]},
+	} {
+		out := newTestDriver(t, algo).PlaceBatch(vms)
+		for i, w := range want {
+			if got := out[i].Err; got != w || !errors.Is(got, w) {
+				t.Fatalf("%s: VM %d err = %v, want %v", algo, vms[i].ID, got, w)
+			}
+			if (out[i].A != nil) != (w == nil) {
+				t.Fatalf("%s: VM %d assignment %v with err %v", algo, vms[i].ID, out[i].A, out[i].Err)
+			}
+		}
 	}
 }

@@ -1,67 +1,73 @@
 package sim
 
-// heap4 is a generic 4-ary min-heap ordered by the element's Less method.
-// It replaces container/heap for the simulator's event queue: the
-// heap.Interface API boxes every element through interface{}, which costs
-// one allocation per Push — on the steady-state churn path that was one
-// allocation per scheduled VM. This heap is monomorphized by the compiler
-// instead, so Push and Pop move concrete values and never touch the
-// allocator beyond the amortized growth of the backing slice.
+// eventQueue is the simulator's pending-event queue: a 4-ary min-heap of
+// events in (time, kind, sequence) order (see event.Less). It replaces
+// container/heap, whose heap.Interface API boxed every pushed element
+// through interface{} — one allocation per scheduled VM on the churn path.
+//
+// The heap is written for the one element type it holds. Comparisons take
+// two *event and read three words each, where a generic heap's Less call
+// through the shape dictionary copied both 104-byte events by value. Both
+// sifts move a hole instead of swapping: the moving element is held aside,
+// each level shifts one event into the hole, and the element is written
+// once at its final slot. Every comparison is the one the swap-based sift
+// made, so the backing slice holds the same events in the same slots after
+// every Push and Pop (snapshots store it verbatim; TestHeap4MatchesSwapSift
+// pins it against the swap-based oracle).
 //
 // A 4-ary layout (children of i at 4i+1..4i+4) halves the tree depth of
 // the binary heap: sift-down does more comparisons per level but those hit
-// one cache line, which is the better trade for the simulator's
-// pop-heavy loop. The heap property and the total event order (time, kind,
-// sequence — see event.Less) are exactly those of the old container/heap
-// code, so the sequence of popped events is bit-identical.
+// adjacent slots, which is the better trade for the simulator's pop-heavy
+// loop. The sequence of popped events is exactly container/heap's.
 //
 // Pop zeroes the vacated slot so popped elements do not linger in the
-// backing array: the old eventHeap.Pop left the last element (and through
-// it the departed VM's *Assignment) reachable until the slot was
-// overwritten, pinning arbitrarily old placements past their release (the
-// memory retention bug fixed in this refactor; see TestHeap4PopClearsSlot).
-type heap4[T lesser[T]] struct {
-	s []T
+// backing array: the old container/heap Pop left the last element (and
+// through it the departed VM's *Assignment) reachable until the slot was
+// overwritten, pinning arbitrarily old placements past their release (see
+// TestHeap4PopClearsSlot).
+type eventQueue struct {
+	s []event
 }
 
-// lesser is the ordering constraint: a type orders itself via Less.
-type lesser[T any] interface {
-	// Less reports whether the receiver orders strictly before other.
-	Less(other T) bool
-}
+// Len returns the number of queued events.
+func (h *eventQueue) Len() int { return len(h.s) }
 
-// Len returns the number of queued elements.
-func (h *heap4[T]) Len() int { return len(h.s) }
+// Min returns the earliest event without removing it. It must not be
+// called on an empty queue, and the pointer is valid only until the next
+// Push or Pop.
+func (h *eventQueue) Min() *event { return &h.s[0] }
 
-// Min returns the minimum element without removing it. It must not be
-// called on an empty heap.
-func (h *heap4[T]) Min() T { return h.s[0] }
-
-// Push adds v to the heap.
-func (h *heap4[T]) Push(v T) {
-	h.s = append(h.s, v)
-	i := len(h.s) - 1
+// Push adds v to the queue.
+func (h *eventQueue) Push(v event) {
+	h.s = append(h.s, event{})
+	s := h.s
+	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h.s[i].Less(h.s[parent]) {
+		if !v.before(&s[parent]) {
 			break
 		}
-		h.s[i], h.s[parent] = h.s[parent], h.s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = v
 }
 
-// Pop removes and returns the minimum element, zeroing the slot it
-// vacates so the backing array retains nothing.
-func (h *heap4[T]) Pop() T {
-	n := len(h.s) - 1
-	min := h.s[0]
-	h.s[0] = h.s[n]
-	var zero T
-	h.s[n] = zero // do not retain the moved element in the dead slot
-	h.s = h.s[:n]
+// Pop removes and returns the earliest event, zeroing the slot it vacates
+// so the backing array retains nothing.
+func (h *eventQueue) Pop() event {
+	s := h.s
+	n := len(s) - 1
+	min := s[0]
+	last := s[n]
+	s[n] = event{} // do not retain the moved element in the dead slot
+	s = s[:n]
+	h.s = s
+	if n == 0 {
+		return min
+	}
 
-	// Sift the relocated root down to its place.
+	// Sift the hole left at the root down to where last belongs.
 	i := 0
 	for {
 		first := 4*i + 1
@@ -69,20 +75,21 @@ func (h *heap4[T]) Pop() T {
 			break
 		}
 		smallest := first
-		last := first + 4
-		if last > n {
-			last = n
+		end := first + 4
+		if end > n {
+			end = n
 		}
-		for c := first + 1; c < last; c++ {
-			if h.s[c].Less(h.s[smallest]) {
+		for c := first + 1; c < end; c++ {
+			if s[c].before(&s[smallest]) {
 				smallest = c
 			}
 		}
-		if !h.s[smallest].Less(h.s[i]) {
+		if !s[smallest].before(&last) {
 			break
 		}
-		h.s[i], h.s[smallest] = h.s[smallest], h.s[i]
+		s[i] = s[smallest]
 		i = smallest
 	}
+	s[i] = last
 	return min
 }

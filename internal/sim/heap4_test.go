@@ -26,7 +26,7 @@ func isZeroEvent(e event) bool {
 type refHeap []event
 
 func (h refHeap) Len() int            { return len(h) }
-func (h refHeap) Less(i, j int) bool  { return h[i].Less(h[j]) }
+func (h refHeap) Less(i, j int) bool  { return h[i].before(&h[j]) }
 func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
 func (h *refHeap) Pop() interface{} {
@@ -73,6 +73,93 @@ func TestHeap4MatchesContainerHeap(t *testing.T) {
 			want := heap.Pop(&ref).(event)
 			if !sameEvent(got, want) {
 				t.Fatalf("trial %d drain: popped %+v, oracle %+v", trial, got, want)
+			}
+		}
+	}
+}
+
+// swapHeap is the swap-based 4-ary sift the hole-sifting eventQueue
+// replaced, kept as the layout oracle: snapshots store the queue's backing
+// slice verbatim, so the new sift must leave every event in the slot the
+// old one did, not merely pop in the same order.
+type swapHeap struct{ s []event }
+
+func (h *swapHeap) push(v event) {
+	h.s = append(h.s, v)
+	i := len(h.s) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !h.s[i].before(&h.s[parent]) {
+			break
+		}
+		h.s[i], h.s[parent] = h.s[parent], h.s[i]
+		i = parent
+	}
+}
+
+func (h *swapHeap) pop() event {
+	n := len(h.s) - 1
+	min := h.s[0]
+	h.s[0] = h.s[n]
+	h.s[n] = event{}
+	h.s = h.s[:n]
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		smallest := first
+		last := first + 4
+		if last > n {
+			last = n
+		}
+		for c := first + 1; c < last; c++ {
+			if h.s[c].before(&h.s[smallest]) {
+				smallest = c
+			}
+		}
+		if !h.s[smallest].before(&h.s[i]) {
+			break
+		}
+		h.s[i], h.s[smallest] = h.s[smallest], h.s[i]
+		i = smallest
+	}
+	return min
+}
+
+// TestHeap4MatchesSwapSift drives the hole-sifting queue and the
+// swap-based oracle with one random push/pop script (with many equal
+// times and kinds, so the sequence tie-break is exercised) and requires
+// the two backing slices to agree element for element after every step.
+func TestHeap4MatchesSwapSift(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 100; trial++ {
+		var h eventQueue
+		var ref swapHeap
+		seq := 0
+		steps := 1 + rng.Intn(600)
+		for step := 0; step < steps; step++ {
+			if h.Len() == 0 || rng.Intn(5) < 3 {
+				e := event{
+					t:    int64(rng.Intn(20)),
+					kind: eventKind(rng.Intn(4)),
+					seq:  rng.Intn(8) + seq,
+					vm:   workload.VM{ID: seq},
+				}
+				seq++
+				h.Push(e)
+				ref.push(e)
+			} else if got, want := h.Pop(), ref.pop(); !sameEvent(got, want) {
+				t.Fatalf("trial %d step %d: popped %+v, oracle %+v", trial, step, got, want)
+			}
+			if len(h.s) != len(ref.s) {
+				t.Fatalf("trial %d step %d: len %d vs oracle %d", trial, step, len(h.s), len(ref.s))
+			}
+			for i := range h.s {
+				if !sameEvent(h.s[i], ref.s[i]) {
+					t.Fatalf("trial %d step %d: slot %d holds %+v, oracle %+v", trial, step, i, h.s[i], ref.s[i])
+				}
 			}
 		}
 	}

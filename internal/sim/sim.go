@@ -59,10 +59,10 @@ type event struct {
 	do   func(st *sched.State) // inject only
 }
 
-// Less orders events by (time, kind, sequence): earlier times first, then
-// kind order (inject < fault < departure < arrival), then FIFO. It is the
-// ordering the event queue (an eventQueue, see heap4.go) pops by.
-func (e event) Less(o event) bool {
+// before orders events by (time, kind, sequence): earlier times first,
+// then kind order (inject < fault < departure < arrival), then FIFO. It is
+// the ordering the event queue (an eventQueue, see heap4.go) pops by.
+func (e *event) before(o *event) bool {
 	if e.t != o.t {
 		return e.t < o.t
 	}
@@ -71,13 +71,6 @@ func (e event) Less(o event) bool {
 	}
 	return e.seq < o.seq
 }
-
-// eventQueue is the simulator's pending-event queue: a non-boxing 4-ary
-// min-heap of events. Unlike the container/heap implementation it
-// replaces, Push does not allocate (no interface{} boxing) and Pop zeroes
-// the vacated slot, so a departed VM's assignment is unreachable the
-// moment its departure fires.
-type eventQueue = heap4[event]
 
 // queuedVM is one retry-queue entry. displaced marks a VM that was
 // already accepted at its arrival and then evicted off failed hardware:

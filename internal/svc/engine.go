@@ -267,7 +267,7 @@ func (e *Engine) apply(rec Record) (Outcome, error) {
 		a, t, err := e.d.Place(rec.VM)
 		out.T = t
 		if err != nil {
-			out.Reason = err.Error()
+			out.Reason = sched.RenderDrop(err, rec.VM)
 		} else {
 			out.Accepted = true
 			out.CPUBox = globalBox(e.st.Cluster, a.CPU)

@@ -15,13 +15,14 @@ import (
 //
 // Layout: an 8-ary tree stored level by level, leaves in levels[0], each
 // internal node covering a contiguous group of 8 children. Eight 8-byte
-// amounts are exactly one 64-byte cache line, so every descent step reads
-// one line of children instead of the two scattered probes per level a
-// binary heap costs; at 16k racks that is 5 level hops instead of 14.
+// amounts are exactly one 64-byte cache line, so every step of a query
+// reads one line of siblings instead of the two scattered probes per level
+// a binary heap costs; at 16k racks the tree has 5 levels instead of 14.
 // Every level is padded to a multiple of 8 with unusedLeaf (strictly
 // below any legal bound) so child groups are always full; building stops
-// once a level fits in one group, and queries start by scanning that top
-// group. The query/update semantics are identical to the binary
+// once a level fits in one group. Queries climb from the leaf they start
+// at (see firstAtLeast), so a nearby candidate never touches the upper
+// levels. The query/update semantics are identical to the binary
 // segment-tree this layout replaced — same candidates in the same order —
 // so placements cannot change.
 //
@@ -104,6 +105,19 @@ func (t *maxTree) raise(i int, v units.Amount) {
 // firstAtLeast returns the smallest rack index ≥ from whose bound is ≥
 // need, or -1. Candidates still need verification against the rack's true
 // MaxFree — see Cluster.NextRackWith.
+//
+// The search is iterative and starts at from's leaf, not at the root: it
+// scans the rest of from's 64-byte leaf group, climbs one level only when
+// that group is exhausted (continuing at the parent's right sibling, which
+// covers the leaves right after the group), and on the first element whose
+// maximum qualifies descends one child group per level, taking the
+// leftmost qualifying child each time. A candidate a few racks past from —
+// the common case on a loaded cluster — costs one or two cache lines, and
+// the worst case is one line up and one line down per level. Every element
+// examined at level j > 0 covers only leaves after from's own subtree, and
+// an internal node's maximum qualifies exactly when one of its children
+// does, so the descent always succeeds and the answer is the leftmost
+// qualifying leaf, the one a left-to-right leaf scan would find.
 func (t *maxTree) firstAtLeast(from int, need units.Amount) int {
 	if from < 0 {
 		from = 0
@@ -111,32 +125,37 @@ func (t *maxTree) firstAtLeast(from int, need units.Amount) int {
 	if from >= t.n {
 		return -1
 	}
-	top := len(t.levels) - 1
-	for i := range t.levels[top] {
-		if r := t.search(top, i, from, need); r >= 0 {
-			return r
+	i, j := from, 0
+	for {
+		level := t.levels[j]
+		if i >= len(level) {
+			return -1 // nothing to the right of from's subtree at this level
 		}
+		end := i | (fanout - 1)
+		for ; i <= end; i++ {
+			if level[i] >= need {
+				return t.descend(j, i, need)
+			}
+		}
+		if j+1 == len(t.levels) {
+			return -1
+		}
+		i, j = i/fanout, j+1 // i is one past the group: the parent's right sibling
 	}
-	return -1
 }
 
-// search walks the subtree rooted at element i of level j left to right,
-// pruning subtrees wholly before from or whose maximum bound is below
-// need. An element at level j covers 8^j consecutive leaves.
-func (t *maxTree) search(j, i, from int, need units.Amount) int {
-	// Last leaf covered by this element: (i+1)*8^j - 1.
-	if (i+1)<<(3*uint(j))-1 < from || t.levels[j][i] < need {
-		return -1
-	}
-	if j == 0 {
-		return i
-	}
-	for c := i * fanout; c < i*fanout+fanout; c++ {
-		if r := t.search(j-1, c, from, need); r >= 0 {
-			return r
+// descend returns the leftmost leaf under element i of level j whose bound
+// is ≥ need; the element's own bound must be ≥ need.
+func (t *maxTree) descend(j, i int, need units.Amount) int {
+	for ; j > 0; j-- {
+		children := t.levels[j-1][i*fanout : i*fanout+fanout]
+		c := 0
+		for children[c] < need {
+			c++
 		}
+		i = i*fanout + c
 	}
-	return -1
+	return i
 }
 
 // checkTree verifies the tree's structural invariants for tests: every

@@ -13,7 +13,8 @@
 # Two benchmark sets run at different iteration counts:
 #   - per-decision benchmarks at ITERS (default 1000x) so one-time pool
 #     warm-up amortizes to zero and the steady-state contract is what is
-#     measured (the baseline records 0 for all of them);
+#     measured (the baseline records 0 for all of them, the drop path
+#     included: BenchmarkScheduleOneDrop);
 #   - whole-run benchmarks (the churn cell) at 1x, where the recorded
 #     value is the per-cell setup cost — state construction, stream,
 #     windows — that a regression in any layer's hot path would inflate.
@@ -30,7 +31,7 @@ set -euo pipefail
 ITERS=${ITERS:-1000x}
 OUT=${OUT:-alloc-guard}
 BASELINE=${BASELINE:-scripts/ci/allocs-baseline.txt}
-HOT='BenchmarkScheduleOne$|BenchmarkScheduleOneAllocs|BenchmarkScheduleOneUnderFaults|BenchmarkScheduleOneResumed|BenchmarkScheduleOnePreempt|BenchmarkDriverPlace|BenchmarkAllocateVM$|BenchmarkProposeCommit$'
+HOT='BenchmarkScheduleOne$|BenchmarkScheduleOneAllocs|BenchmarkScheduleOneDrop|BenchmarkScheduleOneUnderFaults|BenchmarkScheduleOneResumed|BenchmarkScheduleOnePreempt|BenchmarkDriverPlace|BenchmarkAllocateVM$|BenchmarkProposeCommit$'
 RUN='BenchmarkChurnSteadyState$|BenchmarkChurnAgents/agents4'
 # The SoA hot path at hyperscale: the same zero-alloc contract on the
 # 16384-rack (~100k box) cluster, where a stray per-decision allocation
